@@ -324,20 +324,36 @@ BM_CpuAdvance(benchmark::State &state)
 }
 BENCHMARK(BM_CpuAdvance);
 
-/** One LLC probe; footprint arg (log2 bytes) sets the hit/miss mix. */
+/**
+ * One LLC probe; the first arg (log2 bytes) is the footprint and sets
+ * the hit/miss mix. The second selects a sequential stream, whose
+ * trained prefetch bursts are installed as the CPU installs them, so
+ * the prefetch-install path is measured too.
+ */
 static void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache cache(SimConfig{}.cache);
     const Addr mask = (Addr{1} << state.range(0)) - 1;
+    const bool sequential = state.range(1) != 0;
     Rng rng(9);
+    Addr next = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.access(rng.next() & mask & ~Addr{LineBytes - 1}));
+        Addr a;
+        if (sequential) {
+            a = next & mask;
+            next += LineBytes;
+        } else {
+            a = rng.next() & mask & ~Addr{LineBytes - 1};
+        }
+        const CacheResult r = cache.access(a);
+        if (r.prefetchLines > 0)
+            cache.installPrefetches(r.prefetchStart, r.prefetchLines);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheAccess)->Arg(22)->Arg(28);
+BENCHMARK(BM_CacheAccess)->Args({22, 0})->Args({28, 0})->Args({28, 1});
 
 /**
  * The single-PageMeta placement + LRU-membership resolve the CPU does

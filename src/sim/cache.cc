@@ -6,22 +6,6 @@
 namespace pact
 {
 
-namespace
-{
-
-/** Mix the set index bits so contiguous lines spread across sets. */
-std::uint64_t
-hashLine(std::uint64_t line)
-{
-    std::uint64_t x = line;
-    x ^= x >> 17;
-    x *= 0xed5ad4bbu;
-    x ^= x >> 11;
-    return x;
-}
-
-} // namespace
-
 Cache::Cache(const CacheParams &params) : params_(params)
 {
     throw_config_if(params.assoc == 0, "Cache: zero associativity");
@@ -36,49 +20,63 @@ Cache::Cache(const CacheParams &params) : params_(params)
     // Round down to a power of two for cheap indexing.
     while (sets_ & (sets_ - 1))
         sets_ &= sets_ - 1;
+    setMask_ = sets_ - 1;
+    setBits_ = static_cast<unsigned>(__builtin_ctzll(sets_));
     assoc_ = params.assoc;
-    ways_.assign(sets_ * assoc_, Way{});
-    streams_.assign(params.prefetchStreams, Stream{});
+    fpWords_ = (assoc_ + 7) / 8;
+    const unsigned lastWays = assoc_ - 8 * (fpWords_ - 1);
+    lastLanes_ = lastWays == 8 ? ~0ull : (1ull << (8 * lastWays)) - 1;
+    reset();
 }
 
-bool
-Cache::lookupFill(std::uint64_t line, bool prefetch_fill,
-                  bool &was_prefetched)
+void
+Cache::reset()
 {
-    const std::size_t set = hashLine(line) & (sets_ - 1);
-    Way *base = &ways_[set * assoc_];
-    clock_++;
+    tags_.assign(sets_ * assoc_, Invalid);
+    stamps_.assign(sets_ * assoc_, 0);
+    prefetched_.assign(sets_ * assoc_, 0);
+    fps_.assign(sets_ * fpWords_, 0);
+    streams_.assign(params_.prefetchStreams, Stream{});
+    streamVictim_ = 0;
+    clock_ = 0;
+    hits_ = 0;
+    misses_ = 0;
+    prefetchHits_ = 0;
+    prefetchIssued_ = 0;
+}
 
-    // Pure tag scan first: hits (the common case) skip the victim
-    // bookkeeping entirely.
+/**
+ * The LRU victim: the last invalid way if any, else the first way with
+ * the minimum stamp. Invalid ways hold stamp 0 and valid ones distinct
+ * stamps of at least 1 (each tick stamps one way), so both rules are
+ * the last way with the minimum stamp.
+ */
+unsigned
+Cache::victimWay(std::size_t set) const
+{
+    const std::uint64_t *stamps = &stamps_[set * assoc_];
+    std::uint64_t best = ~0ull;
+    unsigned victim = 0;
     for (unsigned w = 0; w < assoc_; w++) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            was_prefetched = way.prefetched;
-            way.prefetched = false; // demand hit clears the mark
-            way.stamp = clock_;
-            return true;
-        }
+        const bool take = stamps[w] <= best;
+        best = take ? stamps[w] : best;
+        victim = take ? w : victim;
     }
+    return victim;
+}
 
-    // Miss: last invalid way if any, else the earliest min-stamp way
-    // (the same choice the former fused scan made).
-    Way *victim = base;
-    for (unsigned w = 0; w < assoc_; w++) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.stamp < victim->stamp) {
-            victim = &way;
-        }
-    }
-
-    victim->valid = true;
-    victim->tag = line;
-    victim->stamp = clock_;
-    victim->prefetched = prefetch_fill;
-    was_prefetched = false;
-    return false;
+void
+Cache::fill(std::uint64_t line, std::size_t set, std::uint64_t h,
+            bool prefetched)
+{
+    const unsigned w = victimWay(set);
+    const std::size_t i = set * assoc_ + w;
+    tags_[i] = line;
+    stamps_[i] = ++clock_;
+    prefetched_[i] = prefetched;
+    std::uint64_t &fp = fps_[set * fpWords_ + w / 8];
+    const unsigned shift = 8 * (w % 8);
+    fp = (fp & ~(0xffull << shift)) | (fingerprint(h) << shift);
 }
 
 void
@@ -108,44 +106,32 @@ Cache::trainPrefetcher(std::uint64_t line, CacheResult &res)
 }
 
 CacheResult
-Cache::access(Addr vaddr)
+Cache::accessMiss(std::uint64_t line, std::size_t set, std::uint64_t h)
 {
-    const std::uint64_t line = vaddr >> LineShift;
+    fill(line, set, h, false);
+    misses_++;
     CacheResult res;
-    bool was_prefetched = false;
-    res.hit = lookupFill(line, false, was_prefetched);
-    res.prefetched = was_prefetched;
-
-    if (res.hit) {
-        hits_++;
-        if (was_prefetched)
-            prefetchHits_++;
-    } else {
-        misses_++;
-        if (params_.prefetch)
-            trainPrefetcher(line, res);
-    }
+    if (params_.prefetch)
+        trainPrefetcher(line, res);
     return res;
 }
 
 void
 Cache::installPrefetches(std::uint64_t line, std::uint32_t count)
 {
-    bool dummy = false;
     for (std::uint32_t i = 0; i < count; i++) {
-        lookupFill(line + i, true, dummy);
+        const std::uint64_t l = line + i;
+        const std::uint64_t h = hashLine(l);
+        const std::size_t set = h & setMask_;
+        const unsigned w = find(set, h, l);
+        // A line already present is refreshed like a demand hit (its
+        // prefetch mark clears); only a missing one arrives marked.
+        if (w == NoWay)
+            fill(l, set, h, true);
+        else
+            touch(set * assoc_ + w);
         prefetchIssued_++;
     }
-}
-
-void
-Cache::reset()
-{
-    for (auto &w : ways_)
-        w = Way{};
-    for (auto &s : streams_)
-        s = Stream{};
-    clock_ = 0;
 }
 
 } // namespace pact

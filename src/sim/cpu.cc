@@ -23,6 +23,8 @@ Cpu::Cpu(const SimConfig &cfg, const Trace &trace, Cache &cache,
 Cpu::Checkpoint
 Cpu::checkpoint() const
 {
+    panic_if(torAccrued_ != cycle_,
+             "Cpu checkpoint: taken inside run(), TOR not accrued");
     Checkpoint ck;
     ck.cycle = cycle_;
     ck.pos = pos_;
@@ -66,56 +68,52 @@ Cpu::restore(const Checkpoint &ck)
     panic_if(spans_.size() < ck.spansSize,
              "Cpu restore: spans shrank across a window");
     spans_.resize(ck.spansSize);
+    // The snapshot was taken fully accrued and flushed; anything
+    // pending now belongs to the abandoned future.
+    torAccrued_ = cycle_;
+    pending_ = Pmu{};
+    refreshNextEvent();
 }
 
 /**
- * Accrue TOR occupancy/busy over [c0, c1), during which the per-tier
- * outstanding-miss counts are constant.
+ * Accrue TOR occupancy/busy over [torAccrued_, c1), during which the
+ * per-tier outstanding-miss counts are constant.
  */
 void
-Cpu::accrueTor(Cycles c0, Cycles c1)
+Cpu::accrueTor(Cycles c1)
 {
-    const Cycles dt = c1 - c0;
+    const Cycles dt = c1 - torAccrued_;
+    torAccrued_ = c1;
     for (unsigned t = 0; t < NumTiers; t++) {
         if (const std::uint32_t n = torCount_[t]) {
-            pmu_->torOccupancy[t] += static_cast<std::uint64_t>(n) * dt;
-            pmu_->torBusy[t] += dt;
+            pending_.torOccupancy[t] += static_cast<std::uint64_t>(n) * dt;
+            pending_.torBusy[t] += dt;
         }
     }
 }
 
 void
-Cpu::advanceTo(Cycles c1)
+Cpu::refreshNextEvent()
 {
-    if (c1 <= cycle_)
-        return;
-    if (missHeap_.empty()) {
-        // Nothing in flight: no boundary can fall inside the window
-        // (a future start always belongs to an outstanding miss).
-        cycle_ = c1;
-        return;
-    }
+    const Cycles nextStart =
+        pendingStarts_.empty() ? ~Cycles{0} : pendingStarts_.front().time;
+    const Cycles nextComp =
+        missHeap_.empty() ? ~Cycles{0} : missHeap_.front().completion;
+    nextEvent_ = std::min(nextStart, nextComp);
+}
 
-    // Sweep interval boundaries up to c1 in time order, accruing over
-    // each constant-count segment. Boundaries at exactly c1 flip the
-    // counts for the next window and contribute zero width to this
-    // one. A completion's matching start is strictly earlier (latency
-    // is at least one cycle), so counts never go transiently negative.
-    Cycles pos = cycle_;
-    while (true) {
-        const Cycles nextStart = pendingStarts_.empty()
-                                     ? ~Cycles{0}
-                                     : pendingStarts_.front().time;
-        const Cycles nextComp =
-            missHeap_.empty() ? ~Cycles{0} : missHeap_.front().completion;
-        const Cycles t = std::min(nextStart, nextComp);
-        if (t > c1)
-            break;
-        if (t > pos) {
-            accrueTor(pos, t);
-            pos = t;
-        }
-        if (nextStart <= nextComp) {
+void
+Cpu::sweepTo(Cycles c1)
+{
+    // Apply every start/completion at or before c1 in time order,
+    // accruing the constant-count segment that ends at each. A
+    // boundary at exactly c1 flips the counts for what follows. A
+    // completion's matching start is strictly earlier (latency is at
+    // least one cycle), so counts never go transiently negative.
+    while (nextEvent_ <= c1) {
+        accrueTor(nextEvent_);
+        if (!pendingStarts_.empty() &&
+            pendingStarts_.front().time == nextEvent_) {
             torCount_[pendingStarts_.front().tier]++;
             std::pop_heap(pendingStarts_.begin(), pendingStarts_.end(),
                           startAfter);
@@ -125,17 +123,24 @@ Cpu::advanceTo(Cycles c1)
             std::pop_heap(missHeap_.begin(), missHeap_.end(), missAfter);
             missHeap_.pop_back();
         }
+        refreshNextEvent();
     }
-    if (c1 > pos)
-        accrueTor(pos, c1);
     cycle_ = c1;
+}
+
+void
+Cpu::flushPmu()
+{
+    accrueTor(cycle_);
+    addPmu(*pmu_, pending_);
+    pending_ = Pmu{};
 }
 
 void
 Cpu::waitFor(Cycles completion, TierId tier)
 {
     if (completion > cycle_) {
-        pmu_->stallCycles[tierIndex(tier)] += completion - cycle_;
+        pending_.stallCycles[tierIndex(tier)] += completion - cycle_;
         advanceTo(completion);
     }
 }
@@ -143,10 +148,9 @@ Cpu::waitFor(Cycles completion, TierId tier)
 void
 Cpu::addPenalty(Cycles c)
 {
-    if (c == 0)
-        return;
     penaltyCycles_ += c;
     advanceTo(cycle_ + c);
+    flushPmu();
 }
 
 void
@@ -156,6 +160,7 @@ Cpu::drainInflight()
     for (const Miss &m : missHeap_)
         maxc = std::max(maxc, m.completion);
     advanceTo(maxc);
+    flushPmu();
 }
 
 void
@@ -164,16 +169,19 @@ Cpu::insertMiss(Cycles start, Cycles completion, TierId tier)
     missHeap_.push_back({completion, opIdx_, tier});
     std::push_heap(missHeap_.begin(), missHeap_.end(), missAfter);
     robFifo_.push_back({completion, opIdx_, tier});
+    nextEvent_ = std::min(nextEvent_, completion);
     // start >= cycle_ always (tiers never backdate service). Service
     // beginning right now occupies the TOR immediately; a
     // bandwidth-queued start waits for the sweep to reach it.
     if (start == cycle_) {
+        accrueTor(cycle_);
         torCount_[tierIndex(tier)]++;
     } else {
         pendingStarts_.push_back(
             {start, static_cast<std::uint8_t>(tierIndex(tier))});
         std::push_heap(pendingStarts_.begin(), pendingStarts_.end(),
                        startAfter);
+        nextEvent_ = std::min(nextEvent_, start);
     }
 }
 
@@ -213,9 +221,10 @@ Cpu::doAccess(const TraceOp &op)
 
     // NUMA hint fault: the policy unmapped this page to observe the
     // next access; the access traps, costing the process fault cycles.
+    // addPenalty flushes the PMU before the handler can read it.
     if (m.flags & PageFlags::HintArmed) {
         m.flags &= ~PageFlags::HintArmed;
-        pmu_->hintFaults++;
+        pending_.hintFaults++;
         addPenalty(cfg_.cpu.hintFaultCycles);
         if (listener_)
             listener_->onHintFault(page, trace_.proc);
@@ -240,13 +249,13 @@ Cpu::doAccess(const TraceOp &op)
                 pt->chargeLines(cycle_, cr.prefetchLines);
                 cache_->installPrefetches(cr.prefetchStart,
                                           cr.prefetchLines);
-                pmu_->prefetches += cr.prefetchLines;
+                pending_.prefetches += cr.prefetchLines;
             }
         }
     }
 
     if (cr.hit) {
-        pmu_->llcHits++;
+        pending_.llcHits++;
         if (isLoad)
             lastLoadValid_ = false; // data available immediately
         return;
@@ -273,11 +282,11 @@ Cpu::doAccess(const TraceOp &op)
     const TierAccess acc = tiers_[tierIndex(tier)]->access(cycle_);
     insertMiss(acc.start, acc.completion, tier);
 
-    pmu_->llcMisses[tierIndex(tier)]++;
+    pending_.llcMisses[tierIndex(tier)]++;
     if (chmu_ && tier == TierId::Slow)
         chmu_->record(page); // the device observes all its accesses
     if (isLoad) {
-        pmu_->llcLoadMisses[tierIndex(tier)]++;
+        pending_.llcLoadMisses[tierIndex(tier)]++;
         pebs_.onLoadMiss(op.vaddr(), tier,
                          static_cast<std::uint32_t>(acc.completion - cycle_),
                          trace_.proc, cycle_);
@@ -339,7 +348,7 @@ Cpu::doAccessSpec(const TraceOp &op)
                                                    cr.prefetchLines);
                 cache_->installPrefetches(cr.prefetchStart,
                                           cr.prefetchLines);
-                pmu_->prefetches += cr.prefetchLines;
+                pending_.prefetches += cr.prefetchLines;
             }
         }
     }
@@ -347,7 +356,7 @@ Cpu::doAccessSpec(const TraceOp &op)
     if (cr.hit) {
         rec.flags |= SpecOpFlags::Hit;
         spec_->log(rec);
-        pmu_->llcHits++;
+        pending_.llcHits++;
         if (isLoad)
             lastLoadValid_ = false;
         return;
@@ -376,9 +385,9 @@ Cpu::doAccessSpec(const TraceOp &op)
     rec.start = acc.start;
     insertMiss(acc.start, acc.completion, tier);
 
-    pmu_->llcMisses[tierIndex(tier)]++;
+    pending_.llcMisses[tierIndex(tier)]++;
     if (isLoad) {
-        pmu_->llcLoadMisses[tierIndex(tier)]++;
+        pending_.llcLoadMisses[tierIndex(tier)]++;
         // PEBS (RNG + journal side effects) replays at the barrier.
         lastLoadValid_ = true;
         lastLoadCompletion_ = acc.completion;
@@ -392,6 +401,14 @@ Cpu::run(Cycles until)
 {
     if (done_)
         return false;
+    const bool more = runOps(until);
+    flushPmu();
+    return more;
+}
+
+bool
+Cpu::runOps(Cycles until)
+{
     const auto &ops = trace_.ops;
 
     while (cycle_ < until) {
@@ -412,10 +429,10 @@ Cpu::run(Cycles until)
         const TraceOp &op = ops[pos_++];
         opIdx_++;
         retired_++;
-        pmu_->instructions++;
+        pending_.instructions++;
 
         if (const std::uint32_t gap = op.gap()) {
-            pmu_->computeCycles += gap;
+            pending_.computeCycles += gap;
             advanceTo(cycle_ + gap);
         }
 
@@ -441,7 +458,7 @@ Cpu::run(Cycles until)
             // The full cycle count rides in the addr field (the
             // 12-bit gap field is zero); accounting matches the
             // equivalent run of max-gap Nops.
-            pmu_->computeCycles += op.vaddr();
+            pending_.computeCycles += op.vaddr();
             advanceTo(cycle_ + op.vaddr());
             break;
         }

@@ -16,12 +16,15 @@
  * outstanding count at its service start (immediately when the tier
  * is idle, via a small future-start heap when bandwidth queuing
  * pushes the start out) and lowers it when the completion-ordered
- * miss heap retires it. Clock advances sweep both heaps once in time
- * order, accruing occupancy (count x dt) and busy (dt while
- * count > 0) over each constant-count segment — O(log mshrs) per
- * miss instead of the O(mshrs^2) per-advance interval clipping it
- * replaces, with bit-identical integrals (and no silent 64-interval
- * union cap, so tor_busy is now exact for mshrs > 64 too).
+ * miss heap retires it. Occupancy (count x dt) and busy (dt while
+ * count > 0) accrue lazily: only when a count changes, and when
+ * control leaves the core (run() return, addPenalty, drainInflight,
+ * restore). Between the last accrual point and the next start or
+ * completion the counts are constant, so a clock advance that stays
+ * short of the cached next-event cycle is a single store. PMU
+ * increments likewise collect in a core-owned delta that is flushed
+ * at those same points, so the target Pmu is exact whenever anything
+ * outside the core can read it.
  */
 
 #ifndef PACT_SIM_CPU_HH
@@ -121,6 +124,8 @@ class Cpu
      * window and restores on abort, so an aborted window's serial
      * re-run starts from exactly the pre-window core state. spans_
      * is append-only, so only its size is stored (restore truncates).
+     * A snapshot is taken flushed (TOR accrued to `cycle`, no pending
+     * PMU delta), so the accrual state is not stored either.
      */
     struct Checkpoint
     {
@@ -143,6 +148,7 @@ class Cpu
         std::size_t spansSize = 0;
     };
 
+    /** Snapshot the core; it must be outside run() (flushed). */
     Checkpoint checkpoint() const;
     void restore(const Checkpoint &ck);
 
@@ -190,12 +196,28 @@ class Cpu
                                             : a.opIdx > b.opIdx;
     }
 
+    bool runOps(Cycles until);
     void doAccess(const TraceOp &op);
     void doAccessSpec(const TraceOp &op);
     void waitFor(Cycles completion, TierId tier);
-    void advanceTo(Cycles c1);
-    void accrueTor(Cycles c0, Cycles c1);
+
+    /** Move the clock to @p c1 (never backwards). Short of the next
+     *  TOR event nothing else changes. */
+    void
+    advanceTo(Cycles c1)
+    {
+        if (c1 < nextEvent_)
+            cycle_ = c1;
+        else
+            sweepTo(c1);
+    }
+
+    void sweepTo(Cycles c1);
+    void accrueTor(Cycles c1);
+    void refreshNextEvent();
     void insertMiss(Cycles start, Cycles completion, TierId tier);
+    /** Accrue TOR up to cycle_ and add the pending delta to *pmu_. */
+    void flushPmu();
 
     const SimConfig &cfg_;
     const Trace &trace_;
@@ -235,6 +257,16 @@ class Cpu
     /** Misses currently occupying the TOR, per tier (between the
      *  already-swept start and completion boundaries). */
     std::array<std::uint32_t, NumTiers> torCount_ = {0, 0};
+    /** TOR occupancy/busy are accrued up to this cycle; torCount_ has
+     *  not changed since. */
+    Cycles torAccrued_ = 0;
+    /** Earliest pending start or completion (~0 when none): the next
+     *  cycle at which a TOR count can change. */
+    Cycles nextEvent_ = ~Cycles{0};
+    /** Counter increments not yet added to *pmu_; empty whenever
+     *  control is outside the core, so redirect() and checkpoint()
+     *  have nothing to flush. */
+    Pmu pending_;
 
     bool lastLoadValid_ = false;
     Cycles lastLoadCompletion_ = 0;

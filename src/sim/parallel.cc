@@ -15,24 +15,6 @@ namespace
  *  aborts the window — a memory valve, not a correctness limit. */
 constexpr std::size_t kOpCapPerCore = 1u << 20;
 
-/** Field-wise accumulate a core's scratch PMU into its tenant's. */
-void
-addPmu(Pmu &into, const Pmu &add)
-{
-    into.instructions += add.instructions;
-    into.llcHits += add.llcHits;
-    into.computeCycles += add.computeCycles;
-    into.hintFaults += add.hintFaults;
-    into.prefetches += add.prefetches;
-    for (unsigned i = 0; i < NumTiers; i++) {
-        into.llcLoadMisses[i] += add.llcLoadMisses[i];
-        into.llcMisses[i] += add.llcMisses[i];
-        into.torOccupancy[i] += add.torOccupancy[i];
-        into.torBusy[i] += add.torBusy[i];
-        into.stallCycles[i] += add.stallCycles[i];
-    }
-}
-
 } // namespace
 
 ParallelExec::ParallelExec(Engine &eng, unsigned threads)

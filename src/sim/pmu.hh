@@ -62,6 +62,24 @@ struct Pmu
     }
 };
 
+/** Field-wise accumulate @p add into @p into. */
+inline void
+addPmu(Pmu &into, const Pmu &add)
+{
+    into.instructions += add.instructions;
+    into.llcHits += add.llcHits;
+    into.computeCycles += add.computeCycles;
+    into.hintFaults += add.hintFaults;
+    into.prefetches += add.prefetches;
+    for (unsigned i = 0; i < NumTiers; i++) {
+        into.llcLoadMisses[i] += add.llcLoadMisses[i];
+        into.llcMisses[i] += add.llcMisses[i];
+        into.torOccupancy[i] += add.torOccupancy[i];
+        into.torBusy[i] += add.torBusy[i];
+        into.stallCycles[i] += add.stallCycles[i];
+    }
+}
+
 /** A snapshot of the PMU for delta computation. */
 struct PmuSnapshot
 {

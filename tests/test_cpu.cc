@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "mem/addr_space.hh"
 #include "sim/cpu.hh"
@@ -366,4 +368,197 @@ TEST(Cpu, LoopingTraceRestarts)
     EXPECT_TRUE(c.run(100000));
     EXPECT_FALSE(c.done());
     EXPECT_GT(c.retired(), 10u);
+}
+
+namespace
+{
+
+/** Every Pmu field, in declaration order. */
+std::vector<std::uint64_t>
+pmuFields(const Pmu &p)
+{
+    std::vector<std::uint64_t> f = {p.instructions, p.llcHits,
+                                    p.computeCycles, p.hintFaults,
+                                    p.prefetches};
+    for (unsigned t = 0; t < NumTiers; t++) {
+        f.insert(f.end(), {p.llcLoadMisses[t], p.llcMisses[t],
+                           p.torOccupancy[t], p.torBusy[t],
+                           p.stallCycles[t]});
+    }
+    return f;
+}
+
+/** Outcome of one replay: clock, counters and spans. */
+struct StepResult
+{
+    Cycles cycle;
+    std::vector<std::uint64_t> pmu;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> spans;
+
+    bool
+    operator==(const StepResult &o) const
+    {
+        return cycle == o.cycle && pmu == o.pmu && spans == o.spans;
+    }
+};
+
+/**
+ * Replay one mixed trace (dependent and independent loads, stores,
+ * hot-line hits, prefetch streams, gaps, a BigGap, spans) over both
+ * tiers with bandwidth queuing, stepping run() by @p step cycles
+ * (0 = one call per phase) with a zero penalty between steps. Fixed
+ * cycle marks apply a penalty, a drain and, when @p round_trip, a
+ * checkpoint / speculative run-ahead on private copies / restore.
+ * Stepping stops at the first op boundary at or past a mark however
+ * it is reached, so every schedule acts at the same points.
+ */
+StepResult
+replayStepped(Cycles step, bool round_trip)
+{
+    CpuHarness h(256, 4);
+    h.cfg.cache.prefetch = true;
+    // Slow service slower than the issue rate: queued starts.
+    h.cfg.slow.serviceCycles = 40.0;
+    h.cache = std::make_unique<Cache>(h.cfg.cache);
+    h.slow = std::make_unique<Tier>(TierId::Slow, h.cfg.slow);
+    // Place every page up front, so the run-ahead below cannot change
+    // placement for the real run.
+    for (PageId p = 0; p < h.as.totalPages(); p++)
+        h.tm->touch(p, 0, false);
+
+    std::uint64_t x = 12345;
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    const std::uint64_t lines = (4ull << 20) / LineBytes;
+    std::uint64_t seq = 0;
+    for (int i = 0; i < 20000; i++) {
+        if (i % 1000 == 0)
+            h.trace.markBegin(static_cast<std::uint32_t>(i / 1000));
+        const std::uint64_t r = next() % 100;
+        const auto gap = static_cast<std::uint32_t>(next() % 8);
+        if (r < 40) {
+            h.trace.load(h.base + (next() % lines) * LineBytes, r < 10,
+                         gap);
+        } else if (r < 55) {
+            h.trace.store(h.base + (next() % lines) * LineBytes, gap);
+        } else if (r < 75) {
+            h.trace.load(h.base + (next() % 4) * LineBytes, false, gap);
+        } else if (r < 95) {
+            h.trace.load(h.base + (seq++ % lines) * LineBytes, false, gap);
+        } else {
+            h.trace.compute(static_cast<std::uint32_t>(next() % 64));
+        }
+        if (i == 10000)
+            h.trace.compute(50000); // one BigGap op
+        if (i % 1000 == 999)
+            h.trace.markEnd();
+    }
+
+    Cpu &c = h.cpu();
+    auto runTo = [&](Cycles mark) {
+        if (step == 0) {
+            c.run(mark);
+            return;
+        }
+        while (c.cycle() < mark && !c.done()) {
+            c.run(std::min(mark, c.cycle() + step));
+            c.addPenalty(0);
+        }
+    };
+    runTo(150000);
+    c.addPenalty(3000);
+    runTo(300000);
+    c.drainInflight();
+    runTo(450000);
+    if (round_trip) {
+        const Cpu::Checkpoint ck = c.checkpoint();
+        Cache cache = *h.cache;
+        Tier fast = *h.fast;
+        Tier slow = *h.slow;
+        Pmu scratch;
+        c.redirect(&cache, {&fast, &slow}, &scratch);
+        c.run(c.cycle() + 50000);
+        c.redirect(h.cache.get(), {h.fast.get(), h.slow.get()}, &h.pmu);
+        c.restore(ck);
+    }
+    runTo(~Cycles{0});
+    EXPECT_TRUE(c.done());
+    return {c.cycle(), pmuFields(h.pmu), c.spans()};
+}
+
+} // namespace
+
+TEST(Cpu, TorCountersCurrentAtEveryReturn)
+{
+    // One slow miss over [0, SlowLat), then compute: T1 and T2 must
+    // read exactly the cycles it has been outstanding each time run()
+    // hands control back, even while no TOR event has occurred since.
+    for (const Cycles step : {Cycles{1}, Cycles{7}, Cycles{100}}) {
+        CpuHarness h;
+        h.trace.load(h.base);
+        for (int i = 0; i < 200; i++)
+            h.trace.compute(3);
+        Cpu &c = h.cpu();
+        while (c.cycle() < SlowLat + 50) {
+            c.run(c.cycle() + step);
+            const Cycles want = std::min(c.cycle(), SlowLat);
+            ASSERT_EQ(h.pmu.torBusy[1], want) << "step " << step;
+            ASSERT_EQ(h.pmu.torOccupancy[1], want) << "step " << step;
+        }
+    }
+}
+
+TEST(Cpu, RestoreRewindsPendingEvents)
+{
+    // Checkpoint with 16 misses in flight, run the copy to the end on
+    // private structures, restore, and finish: the real run must match
+    // one that never speculated, so restore has to rewind the TOR event
+    // state along with the heaps.
+    auto build = [](CpuHarness &h) {
+        for (int i = 0; i < 16; i++)
+            h.trace.load(h.base + static_cast<Addr>(i) * 8 * LineBytes);
+        h.trace.compute(2000);
+        for (int i = 16; i < 32; i++)
+            h.trace.load(h.base + static_cast<Addr>(i) * 8 * LineBytes);
+    };
+    CpuHarness plain;
+    build(plain);
+    plain.runAll();
+
+    CpuHarness h;
+    build(h);
+    Cpu &c = h.cpu();
+    c.run(2);
+    const Cpu::Checkpoint ck = c.checkpoint();
+    ASSERT_FALSE(ck.missHeap.empty());
+    Cache cache = *h.cache;
+    Tier fast = *h.fast;
+    Tier slow = *h.slow;
+    Pmu scratch;
+    c.redirect(&cache, {&fast, &slow}, &scratch);
+    while (c.run(c.cycle() + 1000)) {
+    }
+    c.redirect(h.cache.get(), {h.fast.get(), h.slow.get()}, &h.pmu);
+    c.restore(ck);
+    h.runAll();
+    EXPECT_EQ(c.cycle(), plain.cpu_->cycle());
+    EXPECT_EQ(pmuFields(h.pmu), pmuFields(plain.pmu));
+}
+
+TEST(Cpu, StepGranularityDoesNotChangeCounters)
+{
+    const StepResult once = replayStepped(0, false);
+    // The marks must fall inside the run for the schedule to matter.
+    ASSERT_GT(once.cycle, 550000u);
+    EXPECT_GT(once.pmu[12], 0u) << "slow-tier TOR occupancy";
+    for (const Cycles step : {Cycles{1}, Cycles{7}, Cycles{100000}}) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        EXPECT_TRUE(replayStepped(step, false) == once);
+        EXPECT_TRUE(replayStepped(step, true) == once);
+    }
+    EXPECT_TRUE(replayStepped(0, true) == once);
 }
