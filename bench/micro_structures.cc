@@ -32,6 +32,7 @@
 #include "sim/policy_iface.hh"
 #include "sim/tier.hh"
 #include "trace_store/trace_store.hh"
+#include "workloads/graph.hh"
 #include "workloads/registry.hh"
 
 using namespace pact;
@@ -456,6 +457,26 @@ BM_WorkloadGenCold(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_WorkloadGenCold)->Unit(benchmark::kMillisecond);
+
+/**
+ * The R-MAT graph build alone (edge draws plus the CSR scatters and
+ * weight pass) at graph scale Arg, edge factor 12: bc-kron's graph at
+ * Arg 18. items_per_second = generated edges per second.
+ */
+static void
+BM_BuildRmat(benchmark::State &state)
+{
+    const auto scale = static_cast<std::uint32_t>(state.range(0));
+    std::uint64_t edges = 0;
+    for (auto _ : state) {
+        Rng rng(42);
+        const CsrGraph g = buildRmat(scale, 12, {}, rng);
+        edges += (std::uint64_t{1} << scale) * 12;
+        benchmark::DoNotOptimize(g.neighbors.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_BuildRmat)->Arg(18)->Unit(benchmark::kMillisecond);
 
 /** Startup cost, warm: zero-copy mmap load of the same bundle. */
 static void

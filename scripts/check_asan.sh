@@ -26,8 +26,9 @@ if ! ${CXX:-c++} -fsanitize=address,undefined "$probe/t.cc" \
 fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
-cmake --build "$build" -j --target test_robustness test_txn test_pool \
-    test_trace_store test_multicore test_cache test_cpu
+# One goal, so its test binaries build in parallel; bounded by the
+# core count, since each sanitized compile takes hundreds of MB.
+cmake --build "$build" -j "$(nproc)" --target check_asan_deps
 
 # halt_on_error so the first report fails the script rather than
 # scrolling past; the robustness tests drive every fault class plus
@@ -52,6 +53,12 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_cache"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_cpu"
+
+# The graph generators' counting scatters index rows by vertex id and
+# cursor, and the kernels fill reserved op storage; the differential
+# test sweeps scales 4-16 at PACT_JOBS 1 and 4.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_workloads"
 
 # Multi-tenant engine with 4 tenants on shared tiers: per-tenant
 # PEBS/PMU/daemon state plus the flat core array is exactly the kind

@@ -25,8 +25,9 @@ if ! ${CXX:-c++} -fsanitize=thread "$probe/t.cc" -o "$probe/t" \
 fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=thread
-cmake --build "$build" -j --target test_pool test_harness test_txn \
-    test_trace_store test_multicore test_parallel_engine pactsim_cli
+# One goal, so its test binaries build in parallel; bounded by the
+# core count, since each sanitized compile takes hundreds of MB.
+cmake --build "$build" -j "$(nproc)" --target check_tsan_deps
 
 # The pool tests force multi-threaded schedules themselves; PACT_JOBS=4
 # additionally routes every default-jobs code path through the pool.
@@ -39,6 +40,11 @@ PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" "$build/tests/test_harness"
 PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" "$build/tests/test_txn"
 PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_trace_store"
+
+# Graph generation draws its edges in chunks on pool workers, each
+# writing its own slice of the shared edge array; init passes run one
+# trace per worker.
+PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" "$build/tests/test_workloads"
 
 # Multi-tenant engine with 4 tenants contending on shared tiers: the
 # engine itself is serial, but its runs fan out through the pool and

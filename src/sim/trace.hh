@@ -161,6 +161,13 @@ class TraceOpSpan
     const TraceOp &front() const { return data_[0]; }
     const TraceOp &back() const { return data_[size_ - 1]; }
 
+    /** Ops the storage holds without reallocating. */
+    std::size_t
+    capacity() const
+    {
+        return backing_ ? size_ : owned_.capacity();
+    }
+
     /** True when the ops alias a shared mapping (warm start). */
     bool mapped() const { return backing_ != nullptr; }
 

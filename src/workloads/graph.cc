@@ -24,14 +24,14 @@ namespace
 constexpr std::uint64_t kEdgeChunk = 1ull << 16;
 
 /**
- * Fill edges[2e] / edges[2e+1] for e in chunked parallel index order;
- * genOne draws one directed edge (u, v) from the chunk's stream.
+ * Draw m undirected edges in chunked parallel index order, packed as
+ * (u << 32) | v; genOne draws one edge (u, v) from the chunk's stream.
  */
 template <typename GenOne>
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
+std::vector<std::uint64_t>
 generateEdges(std::uint64_t m, std::uint64_t streamSeed, GenOne genOne)
 {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges(2 * m);
+    std::vector<std::uint64_t> edges(m);
     const std::uint64_t chunks = (m + kEdgeChunk - 1) / kEdgeChunk;
     parallelFor(chunks, [&](std::size_t c) {
         Rng rng(rngStream(streamSeed, c));
@@ -39,45 +39,94 @@ generateEdges(std::uint64_t m, std::uint64_t streamSeed, GenOne genOne)
         const std::uint64_t hi = std::min(m, lo + kEdgeChunk);
         for (std::uint64_t e = lo; e < hi; e++) {
             const auto [u, v] = genOne(rng);
-            edges[2 * e] = {u, v};
-            edges[2 * e + 1] = {v, u}; // undirected
+            edges[e] = static_cast<std::uint64_t>(u) << 32 | v;
         }
     });
     return edges;
 }
 
-/** Build CSR from an edge list (deduplicated, self-loops dropped). */
+/**
+ * Build the CSR of an undirected edge list (self-loops dropped,
+ * duplicates merged, rows sorted) by two counting scatters instead of
+ * a comparison sort. Weights are drawn from @p rng in CSR order.
+ */
 CsrGraph
-toCsr(std::uint32_t n,
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> &edges,
-      Rng &rng)
+toCsr(std::uint32_t n, std::vector<std::uint64_t> edges, Rng &rng)
 {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    // Every non-loop edge lands in both endpoints' rows, so both
+    // scatters fill the same rows: row v spans offsets[v]..offsets[v+1].
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    for (const std::uint64_t e : edges) {
+        const auto u = static_cast<std::uint32_t>(e >> 32);
+        const auto v = static_cast<std::uint32_t>(e);
+        if (u != v) {
+            offsets[u + 1]++;
+            offsets[v + 1]++;
+        }
+    }
+    for (std::uint32_t v = 0; v < n; v++)
+        offsets[v + 1] += offsets[v];
+
+    // First scatter: rows in edge order.
+    std::vector<std::uint32_t> byEdge(offsets[n]);
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const std::uint64_t e : edges) {
+        const auto u = static_cast<std::uint32_t>(e >> 32);
+        const auto v = static_cast<std::uint32_t>(e);
+        if (u != v) {
+            byEdge[cursor[u]++] = v;
+            byEdge[cursor[v]++] = u;
+        }
+    }
+    std::vector<std::uint64_t>().swap(edges);
+
+    // Second scatter: walking the rows in ascending u and appending u
+    // to row v for each v in row u fills every row in ascending order.
+    // The directed multiset is symmetric (v occurs in row u as often
+    // as u in row v), so each row keeps exactly its entries.
+    std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+    std::vector<std::uint32_t> sorted(offsets[n]);
+    for (std::uint32_t u = 0; u < n; u++) {
+        for (std::uint64_t k = offsets[u]; k < offsets[u + 1]; k++)
+            sorted[cursor[byEdge[k]]++] = u;
+    }
+    std::vector<std::uint32_t>().swap(byEdge);
+
+    // Compact in place: repeats are adjacent in a sorted row.
+    std::uint64_t out = 0;
+    std::uint64_t begin = 0;
+    for (std::uint32_t v = 0; v < n; v++) {
+        const std::uint64_t end = offsets[v + 1];
+        const std::uint64_t rowStart = out;
+        for (std::uint64_t k = begin; k < end; k++) {
+            if (out == rowStart || sorted[out - 1] != sorted[k])
+                sorted[out++] = sorted[k];
+        }
+        offsets[v + 1] = out;
+        begin = end;
+    }
 
     CsrGraph g;
     g.numVertices = n;
-    g.offsets.assign(n + 1, 0);
-    for (const auto &[u, v] : edges) {
-        if (u != v)
-            g.offsets[u + 1]++;
-    }
-    for (std::uint32_t v = 0; v < n; v++)
-        g.offsets[v + 1] += g.offsets[v];
-    g.numEdges = g.offsets[n];
-    g.neighbors.resize(g.numEdges);
-    g.weights.resize(g.numEdges);
-
-    std::vector<std::uint64_t> cursor(g.offsets.begin(),
-                                      g.offsets.end() - 1);
-    for (const auto &[u, v] : edges) {
-        if (u == v)
-            continue;
-        const std::uint64_t k = cursor[u]++;
-        g.neighbors[k] = v;
-        g.weights[k] = static_cast<std::uint8_t>(1 + rng.below(255));
-    }
+    g.numEdges = out;
+    g.offsets = std::move(offsets);
+    g.neighbors.assign(sorted.begin(), sorted.begin() + out);
+    g.weights.resize(out);
+    for (std::uint8_t &w : g.weights)
+        w = static_cast<std::uint8_t>(1 + rng.below(255));
     return g;
+}
+
+/**
+ * Vertex count of a 2^scale graph. Packed edges and 32-bit vertex ids
+ * need scale <= 31; larger scales would also overflow the shift.
+ */
+std::uint32_t
+vertexCount(const char *who, std::uint32_t scale)
+{
+    throw_workload_if(scale > 31, who, ": graph scale ", scale,
+                      " exceeds the maximum of 31");
+    return 1u << scale;
 }
 
 } // namespace
@@ -86,8 +135,16 @@ CsrGraph
 buildRmat(std::uint32_t scale, std::uint32_t edge_factor,
           const RmatParams &p, Rng &rng)
 {
-    const std::uint32_t n = 1u << scale;
+    const std::uint32_t n = vertexCount("buildRmat", scale);
     const std::uint64_t m = static_cast<std::uint64_t>(n) * edge_factor;
+
+    // Quadrant of one draw, without branches: r in [0, a) -> (0,0),
+    // [a, a+b) -> (0,1), [a+b, a+b+c) -> (1,0), else (1,1). u's bit
+    // is set from a+b on, and v's bit flips at each of the three
+    // bounds. The bounds are the left-to-right double sums.
+    const double a = p.a;
+    const double ab = p.a + p.b;
+    const double abc = p.a + p.b + p.c;
 
     // One draw from the caller's rng seeds every chunk stream; the
     // caller's rng then continues with the CSR weight pass, so the
@@ -95,33 +152,24 @@ buildRmat(std::uint32_t scale, std::uint32_t edge_factor,
     const std::uint64_t streamSeed = rng.next();
     auto edges = generateEdges(
         m, streamSeed,
-        [&p, scale](Rng &crng) -> std::pair<std::uint32_t, std::uint32_t> {
+        [=](Rng &crng) -> std::pair<std::uint32_t, std::uint32_t> {
             std::uint32_t u = 0, v = 0;
             for (std::uint32_t bit = 0; bit < scale; bit++) {
                 const double r = crng.uniform();
-                std::uint32_t ub = 0, vb = 0;
-                if (r < p.a) {
-                    // top-left
-                } else if (r < p.a + p.b) {
-                    vb = 1;
-                } else if (r < p.a + p.b + p.c) {
-                    ub = 1;
-                } else {
-                    ub = 1;
-                    vb = 1;
-                }
+                const std::uint32_t ub = r >= ab;
+                const std::uint32_t vb = (r >= a) ^ (r >= ab) ^ (r >= abc);
                 u = (u << 1) | ub;
                 v = (v << 1) | vb;
             }
             return {u, v};
         });
-    return toCsr(n, edges, rng);
+    return toCsr(n, std::move(edges), rng);
 }
 
 CsrGraph
 buildUniform(std::uint32_t scale, std::uint32_t edge_factor, Rng &rng)
 {
-    const std::uint32_t n = 1u << scale;
+    const std::uint32_t n = vertexCount("buildUniform", scale);
     const std::uint64_t m = static_cast<std::uint64_t>(n) * edge_factor;
 
     const std::uint64_t streamSeed = rng.next();
@@ -132,7 +180,7 @@ buildUniform(std::uint32_t scale, std::uint32_t edge_factor, Rng &rng)
             const auto v = static_cast<std::uint32_t>(crng.below(n));
             return {u, v};
         });
-    return toCsr(n, edges, rng);
+    return toCsr(n, std::move(edges), rng);
 }
 
 CsrGraph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -39,6 +40,69 @@ full(const Trace &t, const KernelLimits &lim)
     return t.size() >= lim.maxOps;
 }
 
+/** Most loads rangeLoads emits for @p bytes at any alignment. */
+constexpr std::uint64_t
+scanLines(std::uint64_t bytes)
+{
+    return bytes / LineBytes + 2;
+}
+
+std::uint64_t
+satAdd(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t r;
+    return __builtin_add_overflow(a, b, &r)
+               ? std::numeric_limits<std::uint64_t>::max()
+               : r;
+}
+
+std::uint64_t
+satMul(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t r;
+    return __builtin_mul_overflow(a, b, &r)
+               ? std::numeric_limits<std::uint64_t>::max()
+               : r;
+}
+
+/** Largest and summed cost(degree(v)) over every vertex. */
+template <typename Cost>
+std::pair<std::uint64_t, std::uint64_t>
+vertexCosts(const CsrGraph &g, Cost cost)
+{
+    std::uint64_t most = 0, sum = 0;
+    for (std::uint32_t v = 0; v < g.numVertices; v++) {
+        const std::uint64_t c = cost(g.degree(v));
+        most = std::max(most, c);
+        sum = satAdd(sum, c);
+    }
+    return {most, sum};
+}
+
+/**
+ * Reserve @p t's op storage once, so that neither emission nor the
+ * init pass makeWorkload prepends reallocates it (at kron-18 size a
+ * regrowth copies 112 MB into a 224 MB buffer). Call it after the
+ * kernel's last allocation.
+ *
+ * The budget is checked once per work unit, so a run that the budget
+ * stops ends at most @p unitOps past lim.maxOps; a run that finishes
+ * first emits at most @p fullRunOps. The init pass adds one store per
+ * page the process owns.
+ */
+void
+reserveOps(Trace &t, const AddrSpace &as, const KernelLimits &lim,
+           std::uint64_t unitOps, std::uint64_t fullRunOps)
+{
+    std::uint64_t initPages = 0;
+    for (const ObjectInfo &obj : as.objects()) {
+        if (obj.proc == t.proc)
+            initPages += obj.pages();
+    }
+    t.ops.reserve(std::min(satAdd(lim.maxOps, unitOps), fullRunOps) +
+                  initPages);
+}
+
 } // namespace
 
 Trace
@@ -48,12 +112,17 @@ bfsTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t source,
     Trace t;
     t.name = "bfs";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 4 * g.numEdges));
 
     const Addr depthAddr =
         as.alloc(proc, "bfs.depth", 4ull * g.numVertices, thp);
     const Addr queueAddr =
         as.alloc(proc, "bfs.queue", 4ull * g.numVertices, thp);
+    // A vertex is dequeued at most once: queue and offset loads, its
+    // neighbor scan, and per neighbor a depth load plus two stores.
+    const auto [unit, sweep] = vertexCosts(g, [](std::uint64_t d) {
+        return 2 + scanLines(4 * d) + 3 * d;
+    });
+    reserveOps(t, as, lim, unit, satAdd(1, sweep));
 
     std::vector<std::uint32_t> depth(g.numVertices, Unset);
     std::vector<std::uint32_t> queue;
@@ -92,7 +161,6 @@ bcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t num_sources,
     Trace t;
     t.name = "bc";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 6 * g.numEdges));
 
     const std::uint64_t vbytes = 4ull * g.numVertices;
     const Addr depthAddr = as.alloc(proc, "bc.depth", vbytes, thp);
@@ -100,6 +168,15 @@ bcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t num_sources,
     const Addr deltaAddr = as.alloc(proc, "bc.delta", vbytes, thp);
     const Addr queueAddr = as.alloc(proc, "bc.queue", vbytes, thp);
     const Addr scoreAddr = as.alloc(proc, "bc.scores", vbytes, thp);
+    // Each source runs a forward and a backward pass visiting every
+    // vertex at most once. A forward visit emits 2 ops, the scan and
+    // up to 5 per neighbor; a backward one 3 ops, the scan and up to
+    // 4 per neighbor.
+    const auto [unit, sweep] = vertexCosts(g, [](std::uint64_t d) {
+        return 3 + scanLines(4 * d) + 5 * d;
+    });
+    reserveOps(t, as, lim, unit,
+               satMul(2ull * num_sources, satAdd(1, sweep)));
 
     std::vector<std::uint32_t> depth(g.numVertices);
     std::vector<double> sigma(g.numVertices);
@@ -184,12 +261,19 @@ ssspTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t source,
     Trace t;
     t.name = "sssp";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 6 * g.numEdges));
 
     const Addr distAddr =
         as.alloc(proc, "sssp.dist", 4ull * g.numVertices, thp);
     const Addr queueAddr =
         as.alloc(proc, "sssp.queue", 4ull * g.numVertices, thp);
+    // A frontier holds each vertex at most once, and Bellman-Ford
+    // settles within n rounds. A visit emits 2 ops, the neighbor and
+    // weight scans and up to 3 per neighbor.
+    const auto [unit, sweep] = vertexCosts(g, [](std::uint64_t d) {
+        return 2 + scanLines(4 * d) + scanLines(d) + 3 * d;
+    });
+    reserveOps(t, as, lim, unit,
+               satMul(g.numVertices + 1ull, satAdd(1, sweep)));
 
     constexpr std::uint32_t Inf = std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> dist(g.numVertices, Inf);
@@ -236,12 +320,19 @@ Trace
 tcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, const KernelLimits &lim,
         bool thp, std::uint64_t *triangles_out)
 {
-    (void)as;
     (void)thp;
     Trace t;
     t.name = "tc";
     t.proc = proc;
-    t.ops.reserve(lim.maxOps / 2);
+    // The budget is checked per edge: 2 ops plus a merge of at most
+    // deg(u) + deg(v) steps. Over the whole run that sums to at most
+    // n + E + sum of squared degrees.
+    const std::uint64_t maxDeg =
+        vertexCosts(g, [](std::uint64_t d) { return d; }).first;
+    const std::uint64_t fullRun =
+        vertexCosts(g, [](std::uint64_t d) { return 1 + d + d * d; })
+            .second;
+    reserveOps(t, as, lim, 2 + 2 * maxDeg, fullRun);
 
     // GAPBS sorts adjacency lists and counts u < v < w triangles by
     // merge-intersection; the graph arrays themselves are the
@@ -297,12 +388,16 @@ prTrace(AddrSpace &as, ProcId proc, CsrGraph &g,
     Trace t;
     t.name = "pr";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(
-        lim.maxOps, iterations * (g.numEdges + 2 * g.numVertices)));
 
     const std::uint64_t vbytes = 4ull * g.numVertices;
     const Addr rankAddr = as.alloc(proc, "pr.rank", vbytes, thp);
     const Addr nextAddr = as.alloc(proc, "pr.next", vbytes, thp);
+    // Each iteration visits every vertex: 2 ops, the neighbor scan and
+    // one rank gather per neighbor.
+    const auto [unit, sweep] = vertexCosts(g, [](std::uint64_t d) {
+        return 2 + scanLines(4 * d) + d;
+    });
+    reserveOps(t, as, lim, unit, satMul(iterations, sweep));
 
     std::vector<double> rank(g.numVertices,
                              1.0 / static_cast<double>(g.numVertices));
@@ -345,10 +440,17 @@ ccTrace(AddrSpace &as, ProcId proc, CsrGraph &g, const KernelLimits &lim,
     Trace t;
     t.name = "cc";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 4 * g.numEdges));
 
     const Addr labelAddr =
         as.alloc(proc, "cc.labels", 4ull * g.numVertices, thp);
+    // Each sweep visits every vertex: 3 ops, the neighbor scan and one
+    // label load per neighbor. A component's minimum label spreads at
+    // least one hop per sweep, so at most n sweeps change a label and
+    // one more finds none.
+    const auto [unit, sweep] = vertexCosts(g, [](std::uint64_t d) {
+        return 3 + scanLines(4 * d) + d;
+    });
+    reserveOps(t, as, lim, unit, satMul(g.numVertices + 1ull, sweep));
 
     std::vector<std::uint32_t> label(g.numVertices);
     for (std::uint32_t v = 0; v < g.numVertices; v++)

@@ -157,6 +157,11 @@ buildByName(const std::string &name, const WorkloadOptions &opt)
 WorkloadBundle
 makeWorkload(const std::string &name, const WorkloadOptions &opt)
 {
+    // An infinite scale never leaves graphScale's halving loop, and
+    // every generator divides or multiplies by it.
+    throw_workload_if(!std::isfinite(opt.scale) || opt.scale <= 0,
+                      "workload '", name, "': scale must be finite and "
+                      "positive, got ", opt.scale);
     WorkloadBundle b = buildByName(name, opt);
     prependInitPass(b);
     return b;

@@ -19,7 +19,8 @@ namespace pact
 /**
  * Build a workload by name. Known names: masim, gups, bc-kron,
  * bc-urand, bc-twitter, sssp-kron, tc-twitter, bfs-kron, gpt2, silo,
- * redis, bwaves, xz, deepsjeng. Unknown names throw WorkloadError.
+ * redis, bwaves, xz, deepsjeng. Unknown names, and a scale that is
+ * not finite and positive, throw WorkloadError.
  */
 WorkloadBundle makeWorkload(const std::string &name,
                             const WorkloadOptions &opt = {});

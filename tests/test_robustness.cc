@@ -28,6 +28,7 @@
 #include "pact/pact_policy.hh"
 #include "policies/registry.hh"
 #include "sim/engine.hh"
+#include "workloads/graph.hh"
 #include "workloads/masim.hh"
 #include "workloads/registry.hh"
 
@@ -113,6 +114,67 @@ TEST(SimErrorHierarchy, RegistriesThrowStructuredErrors)
     EXPECT_THROW(makeWorkload("no-such-workload", {}), WorkloadError);
     // ... which remain catchable at the SimError level for sweeps.
     EXPECT_THROW(makePolicy("NoSuchPolicy"), SimError);
+}
+
+// ---------------------------------------------------------------------
+// Workload scale limits
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Call @p fn, expect a WorkloadError, and return its message. */
+template <typename Fn>
+std::string
+workloadErrorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const WorkloadError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected WorkloadError";
+    return "";
+}
+
+} // namespace
+
+TEST(WorkloadScale, NonFiniteOrNonPositiveScaleIsRejected)
+{
+    // Each value is rejected before any generation starts: an
+    // infinite scale would never leave the graph-scale mapping.
+    const struct
+    {
+        double scale;
+        const char *shown;
+    } cases[] = {
+        {std::numeric_limits<double>::infinity(), "inf"},
+        {std::numeric_limits<double>::quiet_NaN(), "nan"},
+        {0.0, "got 0"},
+        {-1.0, "got -1"},
+    };
+    for (const auto &c : cases) {
+        const std::string msg = workloadErrorOf([&] {
+            makeWorkload("bc-kron", {c.scale, false, 42});
+        });
+        EXPECT_NE(msg.find(c.shown), std::string::npos) << msg;
+        EXPECT_NE(msg.find("scale"), std::string::npos) << msg;
+    }
+}
+
+TEST(WorkloadScale, GraphScaleAboveThirtyOneIsRejected)
+{
+    // 1e5 maps bc-kron to graph scale 35, where 1u << scale is
+    // undefined; the generators reject it before allocating.
+    std::string msg = workloadErrorOf(
+        [] { makeWorkload("bc-kron", {1e5, false, 42}); });
+    EXPECT_NE(msg.find("graph scale 35"), std::string::npos) << msg;
+
+    Rng rng(1);
+    msg = workloadErrorOf([&] { buildRmat(32, 1, {}, rng); });
+    EXPECT_NE(msg.find("graph scale 32"), std::string::npos) << msg;
+    msg = workloadErrorOf([&] { buildUniform(40, 1, rng); });
+    EXPECT_NE(msg.find("graph scale 40"), std::string::npos) << msg;
 }
 
 // ---------------------------------------------------------------------

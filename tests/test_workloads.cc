@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <queue>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -61,7 +65,209 @@ refBfs(const CsrGraph &g, std::uint32_t src)
     return depth;
 }
 
+using EdgePairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/**
+ * Oracle for the graph generators: edge draws with the four-way
+ * partition branch, both directions of each edge stored as pairs, and
+ * the CSR built by a comparison sort. Chunks run serially; each draws
+ * from the same per-chunk stream as the generator.
+ */
+template <typename GenOne>
+EdgePairs
+refEdges(std::uint64_t m, std::uint64_t streamSeed, GenOne genOne)
+{
+    constexpr std::uint64_t chunk = 1ull << 16;
+    EdgePairs edges(2 * m);
+    for (std::uint64_t c = 0; c * chunk < m; c++) {
+        Rng rng(rngStream(streamSeed, c));
+        for (std::uint64_t e = c * chunk; e < std::min(m, (c + 1) * chunk);
+             e++) {
+            const auto [u, v] = genOne(rng);
+            edges[2 * e] = {u, v};
+            edges[2 * e + 1] = {v, u};
+        }
+    }
+    return edges;
+}
+
+CsrGraph
+refToCsr(std::uint32_t n, EdgePairs &edges, Rng &rng)
+{
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    CsrGraph g;
+    g.numVertices = n;
+    g.offsets.assign(n + 1, 0);
+    for (const auto &[u, v] : edges) {
+        if (u != v)
+            g.offsets[u + 1]++;
+    }
+    for (std::uint32_t v = 0; v < n; v++)
+        g.offsets[v + 1] += g.offsets[v];
+    g.numEdges = g.offsets[n];
+    for (const auto &[u, v] : edges) {
+        if (u == v)
+            continue;
+        g.neighbors.push_back(v);
+        g.weights.push_back(static_cast<std::uint8_t>(1 + rng.below(255)));
+    }
+    return g;
+}
+
+CsrGraph
+refRmat(std::uint32_t scale, std::uint32_t edge_factor, const RmatParams &p,
+        Rng &rng)
+{
+    const std::uint32_t n = 1u << scale;
+    const std::uint64_t streamSeed = rng.next();
+    EdgePairs edges = refEdges(
+        std::uint64_t{n} * edge_factor, streamSeed, [&](Rng &crng) {
+            std::uint32_t u = 0, v = 0;
+            for (std::uint32_t bit = 0; bit < scale; bit++) {
+                const double r = crng.uniform();
+                std::uint32_t ub = 0, vb = 0;
+                if (r < p.a) {
+                } else if (r < p.a + p.b) {
+                    vb = 1;
+                } else if (r < p.a + p.b + p.c) {
+                    ub = 1;
+                } else {
+                    ub = 1;
+                    vb = 1;
+                }
+                u = (u << 1) | ub;
+                v = (v << 1) | vb;
+            }
+            return std::pair{u, v};
+        });
+    return refToCsr(n, edges, rng);
+}
+
+CsrGraph
+refUniform(std::uint32_t scale, std::uint32_t edge_factor, Rng &rng)
+{
+    const std::uint32_t n = 1u << scale;
+    const std::uint64_t streamSeed = rng.next();
+    EdgePairs edges = refEdges(
+        std::uint64_t{n} * edge_factor, streamSeed, [n](Rng &crng) {
+            const auto u = static_cast<std::uint32_t>(crng.below(n));
+            const auto v = static_cast<std::uint32_t>(crng.below(n));
+            return std::pair{u, v};
+        });
+    return refToCsr(n, edges, rng);
+}
+
+/** Set PACT_JOBS for one scope, restoring the old value after. */
+class JobsGuard
+{
+  public:
+    explicit JobsGuard(const char *jobs)
+    {
+        if (const char *v = std::getenv("PACT_JOBS"))
+            saved_ = v;
+        else
+            unset_ = true;
+        setenv("PACT_JOBS", jobs, 1);
+    }
+    ~JobsGuard()
+    {
+        if (unset_)
+            unsetenv("PACT_JOBS");
+        else
+            setenv("PACT_JOBS", saved_.c_str(), 1);
+    }
+
+    JobsGuard(const JobsGuard &) = delete;
+    JobsGuard &operator=(const JobsGuard &) = delete;
+
+  private:
+    std::string saved_;
+    bool unset_ = false;
+};
+
+/** FNV-1a-64 over bytes. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; i++)
+        h = (h ^ p[i]) * 1099511628211ull;
+    return h;
+}
+
+template <typename T>
+std::uint64_t
+fnv1a(std::uint64_t h, const T &value)
+{
+    return fnv1a(h, &value, sizeof(value));
+}
+
+/** Digest of a bundle's object registry and every trace's ops. */
+std::uint64_t
+bundleDigest(const WorkloadBundle &b)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const ObjectInfo &o : b.as.objects()) {
+        h = fnv1a(h, o.id);
+        h = fnv1a(h, o.proc);
+        h = fnv1a(h, o.name.data(), o.name.size());
+        h = fnv1a(h, o.base);
+        h = fnv1a(h, o.bytes);
+        h = fnv1a(h, static_cast<unsigned char>(o.thp));
+    }
+    for (const Trace &t : b.traces) {
+        h = fnv1a(h, t.proc);
+        h = fnv1a(h, static_cast<unsigned char>(t.loop));
+        h = fnv1a(h, t.ops.data(), t.ops.size() * sizeof(TraceOp));
+    }
+    return h;
+}
+
 } // namespace
+
+TEST(GraphGen, MatchesSortBasedReference)
+{
+    // The counting-scatter CSR build and branch-free R-MAT draws must
+    // reproduce the sort-based oracle byte for byte, and leave the
+    // caller's rng at the same next draw, at any job count.
+    RmatParams twitter;
+    twitter.a = 0.65;
+    twitter.b = 0.15;
+    twitter.c = 0.15;
+    auto expectSame = [](const CsrGraph &got, Rng &gotRng,
+                         const CsrGraph &want, Rng &wantRng,
+                         const std::string &what) {
+        EXPECT_EQ(got.numVertices, want.numVertices) << what;
+        EXPECT_EQ(got.numEdges, want.numEdges) << what;
+        EXPECT_TRUE(got.offsets == want.offsets) << what;
+        EXPECT_TRUE(got.neighbors == want.neighbors) << what;
+        EXPECT_TRUE(got.weights == want.weights) << what;
+        EXPECT_EQ(gotRng.next(), wantRng.next()) << what;
+    };
+    for (const std::uint32_t scale : {4u, 8u, 12u, 16u}) {
+        for (const std::uint64_t seed : {1ull, 42ull, 210ull}) {
+            Rng r1(seed), r2(seed), r3(seed);
+            const CsrGraph kron = refRmat(scale, 12, {}, r1);
+            const CsrGraph tw = refRmat(scale, 16, twitter, r2);
+            const CsrGraph ur = refUniform(scale, 12, r3);
+            for (const char *jobs : {"1", "4"}) {
+                const JobsGuard guard(jobs);
+                const std::string what = "scale " +
+                                         std::to_string(scale) +
+                                         " seed " + std::to_string(seed) +
+                                         " jobs " + jobs;
+                Rng a(seed), b(seed), c(seed), w1(r1), w2(r2), w3(r3);
+                expectSame(buildRmat(scale, 12, {}, a), a, kron, w1,
+                           "rmat " + what);
+                expectSame(buildTwitterLike(scale, 16, b), b, tw, w2,
+                           "twitter " + what);
+                expectSame(buildUniform(scale, 12, c), c, ur, w3,
+                           "uniform " + what);
+            }
+        }
+    }
+}
 
 TEST(GraphGen, RmatProducesValidCsr)
 {
@@ -602,6 +808,52 @@ TEST(GraphKernels, PageRankEmitsAllIterations)
     EXPECT_NEAR(static_cast<double>(four.size()),
                 2.0 * static_cast<double>(two.size()),
                 0.1 * static_cast<double>(four.size()));
+}
+
+namespace
+{
+
+const char *const kGraphWorkloads[] = {
+    "bc-kron",   "bc-urand", "bc-twitter", "sssp-kron",
+    "tc-twitter", "bfs-kron", "pr-kron",    "cc-kron",
+};
+
+} // namespace
+
+TEST(Registry, GraphBundleDigestsArePinned)
+{
+    // Ops plus object registry of every graph workload, pinned so any
+    // change to a generated graph or kernel trace shows up here.
+    const std::uint64_t want[] = {
+        0xe1490937f295d70full, 0x5c8812291b21d83cull,
+        0x93bd83c96e54798bull, 0x2e14b464051a3ea0ull,
+        0xe241191cbde85fe4ull, 0xaed4d9ad1db06894ull,
+        0xc2a3ba740273de0eull, 0x80bc5bc1f7888e17ull,
+    };
+    for (std::size_t i = 0; i < std::size(kGraphWorkloads); i++) {
+        const WorkloadBundle b =
+            makeWorkload(kGraphWorkloads[i], {0.05, false, 42});
+        EXPECT_EQ(bundleDigest(b), want[i]) << kGraphWorkloads[i];
+    }
+}
+
+TEST(Registry, GraphOpStorageKeepsItsFirstReservation)
+{
+    // Each graph kernel reserves its op budget, the most one work unit
+    // can emit past it, and one init store per page, so neither
+    // emission nor the init pass regrows the storage. At this scale
+    // every kernel's complete run would exceed the budget, so the
+    // reservation is budget + overshoot + init pages. A regrowth
+    // doubles the capacity, far past that.
+    const std::uint64_t budget = scaled(14000000, 0.05, 200000);
+    for (const char *name : kGraphWorkloads) {
+        const WorkloadBundle b = makeWorkload(name, {0.05, false, 42});
+        const TraceOpSpan &ops = b.traces[0].ops;
+        const std::uint64_t floor = budget + b.rssPages();
+        EXPECT_GE(ops.capacity(), ops.size()) << name;
+        EXPECT_GE(ops.capacity(), floor) << name;
+        EXPECT_LE(ops.capacity(), floor + budget / 8) << name;
+    }
 }
 
 TEST(Registry, NewWorkloadVariantsBuild)
